@@ -8,7 +8,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test test-all lint bench-quick bench-fabric bench-delay \
 	bench-explore bench-atlas bench-soak bench-snapshot bench-diff \
 	docs-check api-docs campaign explore-frontier atlas-quick atlas \
-	atlas-shard-smoke soak-smoke clean
+	atlas-shard-smoke determinism-smoke soak-smoke clean
 
 ## tier-1: docs consistency, the invariant linter, then the fast test
 ## suite (the bar every change must clear). The cheap static gates run
@@ -121,6 +121,41 @@ atlas:
 	$(PYTHON) -m repro atlas --workers 4 --resume \
 	    --markdown atlas.md --json atlas.json
 
+## end-to-end determinism: the quick atlas at workers 1 and 2 and as 3
+## merged shards, and a bounded quick soak at workers 1 and 2, each
+## under PYTHONHASHSEED 0 and 4242 with the numpy fabric on and off;
+## every atlas log must cmp equal to one reference, every soak log to
+## another (what the CI determinism-smoke job runs)
+SMOKE_DIR ?= determinism-smoke
+SMOKE_ENVS := PYTHONHASHSEED=0 PYTHONHASHSEED=4242 \
+	PYTHONHASHSEED=0,REPRO_NO_NUMPY=1 PYTHONHASHSEED=4242,REPRO_NO_NUMPY=1
+determinism-smoke:
+	rm -rf $(SMOKE_DIR) && mkdir -p $(SMOKE_DIR)
+	set -e; for envs in $(SMOKE_ENVS); do \
+	    run="env -u REPRO_NO_NUMPY $$(echo $$envs | tr , ' ') $(PYTHON) -m repro"; \
+	    tag=$$(echo $$envs | tr ,= -_); \
+	    for w in 1 2; do \
+	        $$run atlas --quick --workers $$w \
+	            --log $(SMOKE_DIR)/atlas-$$tag-w$$w.jsonl >/dev/null; \
+	        $$run soak --profile quick --instances 1000 --window 100 \
+	            --workers $$w --log $(SMOKE_DIR)/soak-$$tag-w$$w.jsonl \
+	            >/dev/null; \
+	    done; \
+	    for i in 0 1 2; do \
+	        $$run atlas --quick --shard $$i/3 \
+	            --log $(SMOKE_DIR)/shard-$$tag-$$i.jsonl >/dev/null; \
+	    done; \
+	    $$run atlas merge $(SMOKE_DIR)/shard-$$tag-[012].jsonl \
+	        --out $(SMOKE_DIR)/atlas-$$tag-merged.jsonl >/dev/null; \
+	done
+	set -e; cd $(SMOKE_DIR); \
+	    ref=$$(ls atlas-*.jsonl | head -n 1); \
+	    for f in atlas-*.jsonl; do cmp $$ref $$f; done; \
+	    ref=$$(ls soak-*.jsonl | head -n 1); \
+	    for f in soak-*.jsonl; do cmp $$ref $$f; done; \
+	    echo "determinism smoke: $$(ls atlas-*.jsonl | wc -l) atlas and" \
+	        "$$(ls soak-*.jsonl | wc -l) soak logs byte-identical"
+
 ## the 10k-instance soak smoke (what CI runs and uploads)
 soak-smoke:
 	$(PYTHON) -m repro soak --quick --workers 4 --resume \
@@ -131,4 +166,5 @@ clean:
 	    bench-snapshots
 	rm -f atlas.jsonl atlas.md atlas.json soak.jsonl soak-report.json
 	rm -f atlas-*-of-*.jsonl atlas-unsharded.jsonl atlas.jsonl.cursor.json
+	rm -rf determinism-smoke
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -7,15 +7,16 @@ LatticeSpec` end to end:
    (:func:`repro.experiments.campaign.enumerate_atlas_units`), sharing
    the campaign engine's content-hash disk cache, so an already
    computed cell is replayed instead of re-executed;
-2. pending units fan out over a ``ProcessPoolExecutor`` exactly like a
-   campaign (heaviest first, ``workers <= 1`` runs inline);
+2. pending units run through the campaign engine's one pool loop
+   (:func:`repro.experiments.campaign.execute_units`; ``workers <= 1``
+   runs inline).  Atlas units weigh the same, so they run in lattice
+   order, at most ``max(4 * workers, 16)`` beyond the oldest
+   unfinished cell;
 3. as results arrive, the driver fuses each cell's evidence with the
    closed-form claim (:func:`repro.atlas.evidence.fuse_evidence`) and
-   appends one row to the streaming JSONL log **in lattice order** --
-   units are only submitted while their index is within a fixed window
-   of the write frontier, so out-of-order completions wait in a
-   reorder buffer hard-bounded by that window (a small multiple of the
-   pool width), never the whole lattice;
+   appends one row to the streaming JSONL log **in lattice order**
+   through a :class:`~repro.experiments.campaign.ReorderBuffer`, which
+   that submission window keeps small -- never the whole lattice;
 4. a fused ``CONFLICT`` aborts the sweep -- queued units are cancelled
    -- with :class:`~repro.core.errors.AtlasConflict` unless
    ``strict=False``.
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -47,8 +47,10 @@ from repro.core.errors import ConfigurationError
 from repro.experiments.campaign import (
     CampaignCache,
     CampaignUnit,
+    ReorderBuffer,
     enumerate_atlas_units,
-    execute_unit,
+    execute_units,
+    shard_units,
 )
 
 
@@ -196,19 +198,9 @@ def run_atlas(
         [(c.label, c.params, c.variant) for c in cells],
         seed=seed, quick=quick,
     )
-    if shard is None:
-        selected = list(range(len(units)))
-    else:
-        shard_index, shard_count = shard
-        if shard_count < 1 or not 0 <= shard_index < shard_count:
-            raise ConfigurationError(
-                f"bad shard {shard_index}/{shard_count}: "
-                f"need 0 <= index < count"
-            )
-        selected = [
-            pos for pos in range(len(units))
-            if pos % shard_count == shard_index
-        ]
+    selected = list(range(len(units)))
+    if shard is not None:
+        selected = shard_units(selected, *shard)
     inject = dict(inject or {})
     if inject and resume:
         # Resumed rows (and cached unit results) were fused without the
@@ -224,102 +216,54 @@ def run_atlas(
     outcome = AtlasOutcome(
         lattice=lattice, log_path=log.path, cells_total=len(selected)
     )
+
+    def tally(row: Mapping, action: str) -> None:
+        outcome.verdicts[row["verdict"]] += 1
+        if row["verdict"] == CONFLICT:
+            outcome.conflicts.append(row)
+        if progress:
+            progress(f"{action:<8} {row['label']} [{row['verdict']}]")
+
     if resume:
         outcome.resumed = log.resume_prefix(
             [units[pos].unit_id for pos in selected]
         )
         for row in log.rows(limit=outcome.resumed):
-            outcome.verdicts[row["verdict"]] += 1
-            if row["verdict"] == CONFLICT:
-                outcome.conflicts.append(row)
-            if progress:
-                progress(f"resumed  {row['label']} [{row['verdict']}]")
+            tally(row, "resumed")
     else:
         log.reset()
 
-    # ``slot`` is a position within ``selected`` (the shard's own row
-    # order); the row itself carries the *global* lattice index.
-    next_slot = outcome.resumed
-    reorder: dict[int, dict] = {}
+    def write(slot: int, unit: CampaignUnit, result: Mapping) -> None:
+        # ``slot`` is a position within ``selected`` (the shard's own
+        # row order); the row itself carries the *global* lattice index.
+        index = selected[slot]
+        cell = cells[index]
+        row = _fuse_row(
+            index, cell, unit, result, inject.get(cell.label, ()), strict
+        )
+        log.append(row)
+        outcome.written += 1
+        tally(row, "fused")
 
-    def flush(buffered: dict[int, dict]) -> None:
-        """Write every row whose predecessors are all written."""
-        nonlocal next_slot
-        while next_slot in buffered:
-            index = selected[next_slot]
-            cell, unit = cells[index], units[index]
-            row = _fuse_row(
-                index, cell, unit, buffered.pop(next_slot),
-                inject.get(cell.label, ()), strict,
-            )
-            log.append(row)
-            next_slot += 1
-            outcome.written += 1
-            outcome.verdicts[row["verdict"]] += 1
-            if row["verdict"] == CONFLICT:
-                outcome.conflicts.append(row)
-            if progress:
-                progress(f"fused    {row['label']} [{row['verdict']}]")
-
-    pending: list[tuple[int, CampaignUnit]] = []
+    rows = ReorderBuffer(outcome.resumed, write)
+    slot_of: dict[CampaignUnit, int] = {}
     for slot in range(outcome.resumed, len(selected)):
         unit = units[selected[slot]]
         hit = cache.load(unit) if (cache is not None and resume) else None
         if hit is not None:
             outcome.cached += 1
-            reorder[slot] = hit
+            rows.put(slot, unit, hit)
         else:
-            pending.append((slot, unit))
-    flush(reorder)
+            slot_of[unit] = slot
 
-    def finish(slot: int, unit: CampaignUnit, result: dict) -> None:
+    def finish(unit: CampaignUnit, result: dict) -> None:
         if cache is not None:
             cache.store(unit, result)
         outcome.executed += 1
-        reorder[slot] = result
+        rows.put(slot_of[unit], unit, result)
 
     try:
-        if workers <= 1:
-            for slot, unit in pending:
-                finish(slot, unit, execute_unit(unit))
-                flush(reorder)
-        elif pending:
-            # Bounded-window fan-out in LATTICE order (not the campaign
-            # engine's heaviest-first): a unit is only submitted while
-            # its slot is within ``window`` of the write frontier, so
-            # in-flight futures plus reorder-buffered results never
-            # exceed the window -- even when the frontier cell is the
-            # slowest of the batch, workers go idle instead of buffering
-            # the rest of the lattice in memory.
-            window = max(4 * workers, 16)
-            pos = 0
-            futures: dict = {}
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                try:
-                    while pos < len(pending) or futures:
-                        while (
-                            pos < len(pending)
-                            and len(futures) < window
-                            and pending[pos][0] < next_slot + window
-                        ):
-                            slot, unit = pending[pos]
-                            futures[pool.submit(
-                                execute_unit, unit.to_dict()
-                            )] = (slot, unit)
-                            pos += 1
-                        done, _ = wait(
-                            set(futures), return_when=FIRST_COMPLETED
-                        )
-                        for future in done:
-                            slot, unit = futures.pop(future)
-                            finish(slot, unit, future.result())
-                        flush(reorder)
-                except BaseException:
-                    # Abort means abort: a conflict (or any failure)
-                    # must not let thousands of queued cells run to
-                    # completion before the error surfaces.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise
+        execute_units(list(slot_of), workers, finish)
     finally:
         outcome.elapsed_s = time.perf_counter() - start  # reprolint: disable=RL002 -- diagnostic timing only
     return outcome

@@ -128,6 +128,14 @@ def _params(args, synchrony=None) -> SystemParams:
     )
 
 
+def _unit_cache(args, default_dir: str) -> CampaignCache | None:
+    """The unit cache of ``--cache-dir``, or ``default_dir`` under ``--resume``."""
+    cache_dir = args.cache_dir
+    if args.resume and cache_dir is None:
+        cache_dir = default_dir
+    return CampaignCache(cache_dir) if cache_dir else None
+
+
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
@@ -472,10 +480,7 @@ def cmd_campaign(args) -> int:
         1 otherwise.
     """
     shard = parse_shard(args.shard) if args.shard is not None else None
-    cache_dir = args.cache_dir
-    if args.resume and cache_dir is None:
-        cache_dir = ".campaign-cache"
-    cache = CampaignCache(cache_dir) if cache_dir else None
+    cache = _unit_cache(args, ".campaign-cache")
     progress = print if args.verbose else None
 
     if args.explore:
@@ -557,10 +562,7 @@ def _atlas_sweep(args) -> int:
         # The canonical per-shard log name; merge fuses them back into
         # the unsharded atlas.jsonl.
         log_path = f"atlas-{shard[0]}-of-{shard[1]}.jsonl"
-    cache_dir = args.cache_dir
-    if args.resume and cache_dir is None:
-        cache_dir = ".atlas-cache"
-    cache = CampaignCache(cache_dir) if cache_dir else None
+    cache = _unit_cache(args, ".atlas-cache")
 
     inject = {}
     if args.inject_conflict:
@@ -770,10 +772,7 @@ def cmd_soak(args) -> int:
             f"unknown soak profile {profile!r} (profiles: {known})"
         )
 
-    cache_dir = args.cache_dir
-    if args.resume and cache_dir is None:
-        cache_dir = ".soak-cache"
-    cache = CampaignCache(cache_dir) if cache_dir else None
+    cache = _unit_cache(args, ".soak-cache")
 
     budget = (
         f"{instances} instances" if instances is not None

@@ -16,11 +16,17 @@ set of independent, serialisable work units:
   multi-machine splits.
 * :func:`execute_unit` is the picklable worker entry point: it rebuilds
   everything from the spec and returns a plain-dict result.
-* :func:`run_campaign` fans units out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` (or runs them inline
-  for ``workers <= 1``), consults a :class:`CampaignCache` so re-runs
-  only execute the delta, and folds everything into a
-  :class:`CampaignReport` with JSON and Markdown emitters.
+* :func:`execute_units` is the one pool loop in the package, behind
+  campaigns, the atlas sweep and the soak farm: heaviest first on a
+  :class:`concurrent.futures.ProcessPoolExecutor` (inline for
+  ``workers <= 1``), at most ``max(4 * workers, 16)`` units running or
+  queued beyond the oldest unfinished one.  :class:`ReorderBuffer`
+  turns its completion order back into enumeration order for the
+  drivers that stream logs.
+* :func:`run_campaign` fans units out through it, consults a
+  :class:`CampaignCache` so re-runs only execute the delta, and folds
+  everything into a :class:`CampaignReport` with JSON and Markdown
+  emitters.
 
 Determinism: unit results depend only on the unit spec, and the report
 assembles them in enumeration order, so the same seed yields an
@@ -40,7 +46,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import repro
 from repro.analysis.bounds import solvable
@@ -74,6 +80,8 @@ CACHE_SCHEMA = "campaign/7"
 _SYNCHRONY = {s.short: s for s in Synchrony}
 
 PSYNC = Synchrony.PARTIALLY_SYNCHRONOUS
+
+T = TypeVar("T")
 
 
 def table1_cells() -> list[tuple[str, SystemParams]]:
@@ -259,6 +267,13 @@ class CampaignUnit:
         )
 
 
+def _check_labels(cells: Sequence[tuple]) -> None:
+    """Refuse a battery whose cell labels (the aggregation key) repeat."""
+    labels = [cell[0] for cell in cells]
+    if len(set(labels)) != len(labels):
+        raise ConfigurationError(f"duplicate cell labels in {labels}")
+
+
 def enumerate_units(
     cells: Sequence[tuple[str, SystemParams]] | None = None,
     seed: int = 0,
@@ -288,9 +303,7 @@ def enumerate_units(
     """
     if cells is None:
         cells = table1_cells()
-    labels = [label for label, _ in cells]
-    if len(set(labels)) != len(labels):
-        raise ConfigurationError(f"duplicate cell labels in {labels}")
+    _check_labels(cells)
     units: list[CampaignUnit] = []
     for label, params in cells:
         if solvable(params):
@@ -338,9 +351,7 @@ def enumerate_explore_units(
 
     if cells is None:
         cells = explore_battery()
-    labels = [label for label, _ in cells]
-    if len(set(labels)) != len(labels):
-        raise ConfigurationError(f"duplicate cell labels in {labels}")
+    _check_labels(cells)
     return [
         CampaignUnit.for_cell(
             label, params, "explore",
@@ -381,9 +392,7 @@ def enumerate_delay_units(
     """
     if cells is None:
         cells = delay_cells()
-    labels = [label for label, _ in cells]
-    if len(set(labels)) != len(labels):
-        raise ConfigurationError(f"duplicate cell labels in {labels}")
+    _check_labels(cells)
     for label, params in cells:
         if params.synchrony is not PSYNC or not solvable(params):
             raise ConfigurationError(
@@ -427,9 +436,7 @@ def enumerate_atlas_units(
     Raises:
         ConfigurationError: On duplicate cell labels.
     """
-    labels = [label for label, _, _ in cells]
-    if len(set(labels)) != len(labels):
-        raise ConfigurationError(f"duplicate cell labels in {labels}")
+    _check_labels(cells)
     return [
         CampaignUnit.for_cell(
             label, params, "atlas",
@@ -476,30 +483,59 @@ def enumerate_soak_units(
         raise ConfigurationError(
             f"soak instance budget must be >= 0, got {instances}"
         )
-    units = []
-    for start in range(0, instances, window):
-        units.append(
-            CampaignUnit(
-                label=f"soak/{profile}",
-                n=1, ell=1, t=0,
-                synchrony="sync", numerate=False, restricted=False,
-                kind="soak",
-                assignment_index=start,
-                byzantine_index=min(window, instances - start),
-                seed=farm_seed,
-                variant=profile,
-            )
+    return [
+        soak_window_unit(
+            profile, farm_seed, start, min(window, instances - start)
         )
-    return units
+        for start in range(0, instances, window)
+    ]
 
 
-def shard_units(
-    units: Sequence[CampaignUnit], index: int, count: int
-) -> list[CampaignUnit]:
+def soak_window_unit(
+    profile: str, farm_seed: int, start: int, count: int
+) -> CampaignUnit:
+    """The ``kind="soak"`` unit of one stream window.
+
+    The single constructor behind :func:`enumerate_soak_units` and the
+    unbounded farm of :func:`repro.soak.driver.run_soak`, so both lay
+    windows out (and hash them) identically.
+
+    Args:
+        profile: A :data:`repro.soak.mixture.PROFILES` key.
+        farm_seed: The farm's seed.
+        start: The window's first instance index.
+        count: The window's instance count.
+
+    Returns:
+        The frozen, hashable unit spec.
+    """
+    return CampaignUnit(
+        label=f"soak/{profile}",
+        n=1, ell=1, t=0,
+        synchrony="sync", numerate=False, restricted=False,
+        kind="soak",
+        assignment_index=start,
+        byzantine_index=count,
+        seed=farm_seed,
+        variant=profile,
+    )
+
+
+def _check_shard(index: int, count: int) -> None:
+    """Refuse a shard selector outside ``0 <= index < count``."""
+    if count < 1 or not 0 <= index < count:
+        raise ConfigurationError(
+            f"bad shard {index}/{count}: need 0 <= index < count"
+        )
+
+
+def shard_units(units: Sequence[T], index: int, count: int) -> list[T]:
     """Select stripe ``index`` of ``count`` from the unit grid.
 
     Striping by position keeps each shard a representative mix of cheap
-    and expensive units; the ``count`` shards partition the grid.
+    and expensive units; the ``count`` shards partition the grid.  Any
+    sequence stripes the same way, so a driver can stripe positions
+    (the atlas does) instead of units.
 
     Args:
         units: The full unit list (enumeration order).
@@ -512,10 +548,7 @@ def shard_units(
     Raises:
         ConfigurationError: If ``index``/``count`` are out of range.
     """
-    if count < 1 or not 0 <= index < count:
-        raise ConfigurationError(
-            f"bad shard {index}/{count}: need 0 <= index < count"
-        )
+    _check_shard(index, count)
     return [u for pos, u in enumerate(units) if pos % count == index]
 
 
@@ -547,10 +580,7 @@ def parse_shard(text: str) -> tuple[int, int]:
             f"bad shard selector {text!r}: expected INDEX/COUNT, "
             f"e.g. 0/3"
         ) from None
-    if count < 1 or not 0 <= index < count:
-        raise ConfigurationError(
-            f"bad shard {index}/{count}: need 0 <= index < count"
-        )
+    _check_shard(index, count)
     return index, count
 
 
@@ -668,6 +698,10 @@ def execute_unit(unit: CampaignUnit | Mapping) -> dict:
 
 def _unit_weight(unit: CampaignUnit) -> int:
     """Crude cost estimate used to schedule heavy units first."""
+    if unit.kind == "atlas":
+        # Constant: the stable sort keeps lattice order, so the atlas's
+        # in-order log frontier trails the submission window closely.
+        return 1
     if unit.kind == "soak":
         # Windows are near-uniform; weight by instance count so a
         # short final window schedules last.
@@ -675,8 +709,6 @@ def _unit_weight(unit: CampaignUnit) -> int:
     if unit.kind == "explore":
         # Per-round tree exploration (synchronous scopes) dwarfs the
         # persistent-face sweeps, and certificates dwarf violations.
-        # (Atlas units never pass through here: their driver submits
-        # in lattice order to keep its streaming reorder buffer small.)
         return unit.n ** 3 * (40 if unit.synchrony == "sync" else 4)
     weight = unit.n * unit.n
     if unit.synchrony == "psync":
@@ -694,9 +726,18 @@ def execute_units(
 ) -> None:
     """Execute units inline or on a process pool, heaviest first.
 
-    The shared fan-out loop behind :func:`run_campaign` and the soak
-    farm's window shards.  ``finish`` is invoked in completion order
-    with each unit's result (store to cache, fold into a report, ...).
+    The one fan-out loop behind :func:`run_campaign`, the atlas sweep
+    and the soak farm's windows.  ``finish`` is invoked in completion
+    order with each unit's result (store to cache, fold into a report,
+    stream a log row, ...).
+
+    The pool path sorts units heaviest first (a stable sort, so units
+    of equal weight keep their input order) and submits lazily: a unit
+    is submitted only while it lies fewer than ``max(4 * workers, 16)``
+    positions beyond the oldest unfinished unit.  Running plus queued
+    units, and any results a caller buffers while waiting for that
+    oldest unit, stay within that window instead of growing with the
+    batch.
 
     Failure contract: the first worker exception aborts the batch
     *promptly*.  Every queued-but-unstarted unit is cancelled before
@@ -708,7 +749,8 @@ def execute_units(
     Args:
         pending: Units to execute (any order; the pool path re-sorts
             heaviest first for LPT-style makespan).
-        workers: Pool size; ``<= 1`` runs inline in this process.
+        workers: Pool size; ``<= 1`` runs inline in this process, in
+            input order.
         finish: Callback ``(unit, result)`` run in this process for
             each completed unit, in completion order.
     """
@@ -731,18 +773,24 @@ def execute_units(
     # Heavy units first: better makespan under LPT-style greedy
     # scheduling, identical results in any order.
     ordered = sorted(pending, key=_unit_weight, reverse=True)
+    window = max(4 * workers, 16)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         try:
-            futures = {
-                pool.submit(execute_unit, unit.to_dict()): unit
-                for unit in ordered
-            }
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining,
-                                       return_when=FIRST_COMPLETED)
+            futures: dict = {}
+            submitted = 0
+            while submitted < len(ordered) or futures:
+                oldest = min(
+                    (pos for pos, _ in futures.values()), default=submitted
+                )
+                while submitted < min(len(ordered), oldest + window):
+                    unit = ordered[submitted]
+                    futures[pool.submit(execute_unit, unit.to_dict())] = (
+                        submitted, unit
+                    )
+                    submitted += 1
+                done, _ = wait(futures, return_when=FIRST_COMPLETED)
                 for future in done:
-                    unit = futures[future]
+                    _, unit = futures.pop(future)
                     try:
                         result = future.result()
                     except Exception as exc:
@@ -755,6 +803,35 @@ def execute_units(
             # campaign hang until all unrelated heavy units finish.
             pool.shutdown(wait=False, cancel_futures=True)
             raise
+
+
+class ReorderBuffer:
+    """Turn completion order back into stream order.
+
+    The atlas log and the soak log are written in enumeration order
+    while :func:`execute_units` finishes units in completion order.
+    :meth:`put` buffers one finished unit under its stream ``slot`` and
+    hands every result whose predecessors have all arrived to
+    ``emit(slot, unit, result)``, in slot order, at once -- so an
+    inline run emits each result before the next unit starts.
+    """
+
+    def __init__(
+        self,
+        first_slot: int,
+        emit: Callable[[int, CampaignUnit, Mapping], None],
+    ):
+        self._next_slot = first_slot
+        self._emit = emit
+        self._buffer: dict[int, tuple[CampaignUnit, Mapping]] = {}
+
+    def put(self, slot: int, unit: CampaignUnit, result: Mapping) -> None:
+        """Buffer ``result`` and emit the ready prefix of the stream."""
+        self._buffer[slot] = (unit, result)
+        while self._next_slot in self._buffer:
+            unit, result = self._buffer.pop(self._next_slot)
+            self._emit(self._next_slot, unit, result)
+            self._next_slot += 1
 
 
 # ----------------------------------------------------------------------
@@ -786,7 +863,8 @@ class CampaignCache:
         """Return the cached result for ``unit``, or ``None``.
 
         Corrupt, mismatched, or wrong-shaped files (e.g. written by a
-        build with a different record schema) are treated as misses.
+        build with a different record schema, or an atlas entry that
+        lost its ``evidence`` list) are treated as misses.
         """
         path = self.path(unit)
         try:
@@ -796,6 +874,8 @@ class CampaignCache:
         if not isinstance(data, dict) or data.get("unit_id") != unit.unit_id:
             return None
         if not self._RESULT_KEYS <= set(data):
+            return None
+        if unit.kind == "atlas" and not isinstance(data.get("evidence"), list):
             return None
         records = data["records"]
         if not isinstance(records, list) or any(

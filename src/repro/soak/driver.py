@@ -5,13 +5,15 @@ profile (:mod:`repro.soak.mixture`) window by window:
 
 1. every window of ``window`` consecutive instances becomes one
    ``kind="soak"`` campaign unit
-   (:func:`repro.experiments.campaign.enumerate_soak_units` shape),
-   executed on batched kernels and fanned out over the campaign
-   engine's shared pool loop (:func:`repro.experiments.campaign.
-   execute_units`) with its content-hash disk cache and prompt
-   cancel-on-first-failure;
+   (:func:`repro.experiments.campaign.soak_window_unit`, the
+   constructor behind :func:`~repro.experiments.campaign.
+   enumerate_soak_units`), executed on batched kernels and fanned out
+   wave by wave over the campaign engine's one pool loop
+   (:func:`repro.experiments.campaign.execute_units`) with its
+   content-hash disk cache and prompt cancel-on-first-failure;
 2. finished windows stream into an append-only JSONL log
-   (:class:`~repro.atlas.stream.AtlasLog`) **in stream order** -- one
+   (:class:`~repro.atlas.stream.AtlasLog`) **in stream order**, through
+   a :class:`~repro.experiments.campaign.ReorderBuffer` -- one
    row per instance plus one *checkpoint row* per window carrying the
    cumulative verdict/latency/loss counters
    (:class:`~repro.sim.metrics.WindowAggregator`);
@@ -32,8 +34,9 @@ reported on the outcome only, never logged.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
@@ -43,7 +46,10 @@ from repro.core.errors import ConfigurationError, SimulationError
 from repro.experiments.campaign import (
     CampaignCache,
     CampaignUnit,
+    ReorderBuffer,
+    enumerate_soak_units,
     execute_units,
+    soak_window_unit,
 )
 from repro.sim.metrics import WindowAggregator
 from repro.soak.mixture import SOAK_SCHEMA, get_profile, sample_instance
@@ -266,115 +272,82 @@ def run_soak(
     else:
         log.reset()
 
-    total_windows = (
-        None if instances is None else len(window_plan(instances, window))
-    )
-
-    def plan_entry(w: int) -> tuple[int, int, int]:
-        start = w * window
-        count = (
-            window if instances is None
-            else min(window, instances - start)
+    if instances is None:
+        windows: Iterator[CampaignUnit] = (
+            soak_window_unit(profile, seed, w * window, window)
+            for w in itertools.count(completed_windows)
         )
-        return (w, start, count)
-
-    # ``enumerate_soak_units`` builds the whole bounded plan at once;
-    # unbounded farms construct window units one at a time, so the unit
-    # layout is restated here (kept in lockstep by a regression test).
-    def unit_for(w: int) -> CampaignUnit:
-        _, start, count = plan_entry(w)
-        return CampaignUnit(
-            label=f"soak/{profile}",
-            n=1, ell=1, t=0,
-            synchrony="sync", numerate=False, restricted=False,
-            kind="soak",
-            assignment_index=start,
-            byzantine_index=count,
-            seed=seed,
-            variant=profile,
+    else:
+        windows = iter(
+            enumerate_soak_units(profile, seed, instances, window)
+            [completed_windows:]
         )
 
-    next_window = completed_windows  # write frontier
-    cursor = completed_windows       # next window to schedule
-    reorder: dict[int, Mapping] = {}
-
-    def flush() -> None:
-        """Append every window whose predecessors are all written."""
-        nonlocal next_window, skip_in_window
-        while next_window in reorder:
-            w, start, count = plan_entry(next_window)
-            records = list(reorder.pop(next_window)["records"])
-            if len(records) != count:
-                raise SimulationError(
-                    f"soak window {w} returned {len(records)} records, "
-                    f"expected {count}"
-                )
-            rows = []
-            for offset, record in enumerate(records):
-                if offset < skip_in_window:
-                    continue  # already on disk from the resumed prefix
-                spec = sample_instance(profile, seed, start + offset)
-                rows.append(_instance_row(spec, record))
-                agg.add_record(record)
-            rows.append(
-                {
-                    "unit_id": checkpoint_id(profile, seed, w, start + count),
-                    "kind": "checkpoint",
-                    "window": w,
-                    **agg.snapshot(),
-                }
+    def write(w: int, unit: CampaignUnit, result: Mapping) -> None:
+        """Append one window's rows and its checkpoint."""
+        nonlocal skip_in_window
+        start, count = unit.assignment_index, unit.byzantine_index
+        records = list(result["records"])
+        if len(records) != count:
+            raise SimulationError(
+                f"soak window {w} returned {len(records)} records, "
+                f"expected {count}"
             )
-            log.append_many(rows)
-            outcome.written_rows += len(rows)
-            skip_in_window = 0
-            next_window += 1
-            if progress:
-                progress(
-                    f"window {w}: +{count} instances "
-                    f"(cum {agg.instances}, {agg.violations} violations)"
-                )
+        rows = []
+        for offset, record in enumerate(records):
+            if offset < skip_in_window:
+                continue  # already on disk from the resumed prefix
+            spec = sample_instance(profile, seed, start + offset)
+            rows.append(_instance_row(spec, record))
+            agg.add_record(record)
+        rows.append(
+            {
+                "unit_id": checkpoint_id(profile, seed, w, start + count),
+                "kind": "checkpoint",
+                "window": w,
+                **agg.snapshot(),
+            }
+        )
+        log.append_many(rows)
+        outcome.written_rows += len(rows)
+        skip_in_window = 0
+        if progress:
+            progress(
+                f"window {w}: +{count} instances "
+                f"(cum {agg.instances}, {agg.violations} violations)"
+            )
 
     def elapsed() -> float:
         return time.perf_counter() - start_clock  # reprolint: disable=RL002 -- diagnostic timing only
 
+    windows_out = ReorderBuffer(completed_windows, write)
     wave_size = max(4, 2 * max(1, workers))
-    units_by_id: dict[str, int] = {}
 
     def finish(unit: CampaignUnit, result: dict) -> None:
         if cache is not None:
             cache.store(unit, result)
         outcome.executed_windows += 1
-        w = units_by_id[unit.unit_id]
         outcome.executed_instances += len(result["records"])
-        reorder[w] = result
+        windows_out.put(unit.assignment_index // window, unit, result)
 
     try:
-        while total_windows is None or next_window < total_windows:
-            if duration is not None and elapsed() >= duration:
-                break
-            wave: list[tuple[int, CampaignUnit]] = []
-            while len(wave) < wave_size and (
-                total_windows is None or cursor < total_windows
-            ):
-                wave.append((cursor, unit_for(cursor)))
-                cursor += 1
+        while duration is None or elapsed() < duration:
+            wave = list(itertools.islice(windows, wave_size))
             if not wave:
                 break
             pending: list[CampaignUnit] = []
-            for w, unit in wave:
-                units_by_id[unit.unit_id] = w
+            for unit in wave:
                 hit = (
                     cache.load(unit)
                     if (cache is not None and resume) else None
                 )
                 if hit is not None:
                     outcome.cached_windows += 1
-                    reorder[w] = hit
+                    windows_out.put(unit.assignment_index // window, unit, hit)
                 else:
                     pending.append(unit)
             if pending:
                 execute_units(pending, workers, finish)
-            flush()
     finally:
         outcome.elapsed_s = elapsed()
         outcome.instances = agg.instances

@@ -14,6 +14,7 @@ The atlas's three contracts, pinned here:
 """
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -295,13 +296,13 @@ class TestDriver:
         layered on top by appending the partial row the dying process
         would have been writing.
         """
-        import repro.atlas.driver as driver_mod
+        import repro.experiments.campaign as campaign_mod
 
         fresh_path, fresh = self._fresh(tmp_path, "fresh.jsonl")
 
         crash_after = 5
         calls = {"n": 0}
-        real_execute = driver_mod.execute_unit
+        real_execute = campaign_mod.execute_unit
 
         def dying_execute(unit):
             if calls["n"] >= crash_after:
@@ -310,10 +311,10 @@ class TestDriver:
             return real_execute(unit)
 
         crashed_path = tmp_path / "crashed.jsonl"
-        monkeypatch.setattr(driver_mod, "execute_unit", dying_execute)
+        monkeypatch.setattr(campaign_mod, "execute_unit", dying_execute)
         with pytest.raises(KeyboardInterrupt):
             run_atlas(TINY, crashed_path, quick=True)
-        monkeypatch.setattr(driver_mod, "execute_unit", real_execute)
+        monkeypatch.setattr(campaign_mod, "execute_unit", real_execute)
 
         # The log holds exactly the cells fused before the kill...
         survivors = crashed_path.read_bytes()
@@ -331,7 +332,7 @@ class TestDriver:
     def test_crash_before_any_cell_resumes_from_scratch(
         self, tmp_path, monkeypatch
     ):
-        import repro.atlas.driver as driver_mod
+        import repro.experiments.campaign as campaign_mod
 
         fresh_path, _ = self._fresh(tmp_path, "fresh.jsonl")
 
@@ -339,7 +340,7 @@ class TestDriver:
             raise KeyboardInterrupt("simulated kill before first cell")
 
         crashed_path = tmp_path / "crashed.jsonl"
-        monkeypatch.setattr(driver_mod, "execute_unit", dying_execute)
+        monkeypatch.setattr(campaign_mod, "execute_unit", dying_execute)
         with pytest.raises(KeyboardInterrupt):
             run_atlas(TINY, crashed_path, quick=True)
         monkeypatch.undo()
@@ -407,6 +408,66 @@ class TestDriver:
         assert outcome.verdicts[CONFLICT] == 1
         rows = list(AtlasLog(path).rows())
         assert rows[0]["verdict"] == CONFLICT
+
+    def test_cache_entry_without_evidence_is_rerun(self, tmp_path):
+        """Regression: a cached atlas result that lost its ``evidence``
+        list used to be served, and the resumed sweep died with
+        ``ProvenanceError`` (symbolic evidence only) instead of
+        re-running the cell."""
+        cache = CampaignCache(tmp_path / "cache")
+        fresh_path, _ = self._fresh(tmp_path, "fresh.jsonl", cache=cache)
+        entries = sorted((tmp_path / "cache").glob("*.json"))
+        assert entries
+        for entry in entries:
+            data = json.loads(entry.read_text())
+            del data["evidence"]
+            entry.write_text(json.dumps(data))
+
+        resumed_path, resumed = self._fresh(
+            tmp_path, "resumed.jsonl", cache=cache, resume=True
+        )
+        assert resumed.executed == resumed.cells_total
+        assert resumed_path.read_bytes() == fresh_path.read_bytes()
+
+    @pytest.mark.parametrize("shard", [None, (1, 3)])
+    def test_pool_sweep_is_byte_identical_to_inline(self, tmp_path, shard):
+        inline_path, inline = self._fresh(
+            tmp_path, "inline.jsonl", shard=shard
+        )
+        pooled_path, pooled = self._fresh(
+            tmp_path, "pooled.jsonl", shard=shard, workers=2
+        )
+        assert pooled.executed == pooled.written == inline.written
+        assert pooled_path.read_bytes() == inline_path.read_bytes()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched evidence plan must reach forked workers",
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_cell_is_named_in_the_exception(
+        self, tmp_path, monkeypatch, workers
+    ):
+        import repro.atlas.evidence as evidence_mod
+
+        cells = TINY.cells()
+        target = enumerate_atlas_units(
+            [(c.label, c.params, c.variant) for c in cells], quick=True
+        )[3]
+        real_unit = evidence_mod.run_atlas_unit
+
+        def failing_unit(params, **kwargs):
+            if params == cells[3].params:
+                raise RuntimeError("evidence plan exploded")
+            return real_unit(params, **kwargs)
+
+        monkeypatch.setattr(evidence_mod, "run_atlas_unit", failing_unit)
+        with pytest.raises(RuntimeError) as err:
+            run_atlas(TINY, tmp_path / "log.jsonl", quick=True,
+                      workers=workers)
+        notes = getattr(err.value, "__notes__", [])
+        assert any(target.describe() in note for note in notes)
+        assert any(target.unit_id in note for note in notes)
 
 
 class TestRender:

@@ -124,14 +124,14 @@ class TestDifferentialGrid:
     ):
         """Kill shard 0 mid-sweep (optionally tearing its final line),
         resume it, sweep the rest, merge: still byte-identical."""
-        import repro.atlas.driver as driver_mod
+        import repro.experiments.campaign as campaign_mod
 
         expected = _reference_bytes(TINY, scratch, cache)
         case = scratch()
         killed = case / f"atlas-0-of-{shard_count}.jsonl"
 
         calls = {"n": 0}
-        real_execute = driver_mod.execute_unit
+        real_execute = campaign_mod.execute_unit
 
         def dying_execute(unit):
             if calls["n"] >= kill_after:
@@ -141,13 +141,13 @@ class TestDifferentialGrid:
 
         # No cache on the dying run: cached cells bypass the executor,
         # which would let the sweep outrun its own kill point.
-        driver_mod.execute_unit = dying_execute
+        campaign_mod.execute_unit = dying_execute
         try:
             with pytest.raises(KeyboardInterrupt):
                 run_atlas(TINY, killed, quick=True,
                           shard=(0, shard_count))
         finally:
-            driver_mod.execute_unit = real_execute
+            campaign_mod.execute_unit = real_execute
 
         survivors = killed.read_bytes()
         assert len(survivors.splitlines()) == kill_after

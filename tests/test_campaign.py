@@ -8,6 +8,7 @@ unsolvable cell from two model families) so the whole file stays fast.
 """
 
 import json
+from concurrent.futures import Future
 
 import pytest
 
@@ -378,6 +379,66 @@ class TestPoolFailureContract:
         # first wave and fails while at most one heavy unit is in
         # flight; the cancelled tail must never reach ``finish``.
         assert len(finished) < len(heavies)
+
+
+class TestPoolSubmissionWindow:
+    """The pool loop submits lazily: never more than
+    ``max(4 * workers, 16)`` units beyond the oldest unfinished one."""
+
+    def test_out_of_order_completion_stays_within_the_window(
+        self, monkeypatch
+    ):
+        import repro.experiments.campaign as campaign_mod
+
+        units = enumerate_soak_units("quick", 0, 40 * 10, 10)
+        position = {unit.unit_id: pos for pos, unit in enumerate(units)}
+        submitted: list[int] = []
+        unfinished: set[int] = set()
+        spreads: list[int] = []
+
+        class LifoPool:
+            """Results are ready at once; ``lifo_wait`` below reports
+            only the newest outstanding unit done, so the oldest
+            submitted unit always finishes last."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, spec):
+                pos = position[CampaignUnit.from_dict(spec).unit_id]
+                submitted.append(pos)
+                unfinished.add(pos)
+                spreads.append(pos - min(unfinished))
+                future = Future()
+                future.set_result({"records": []})
+                future.pos = pos
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        def lifo_wait(futures, return_when):
+            newest = max(futures, key=lambda f: f.pos)
+            return {newest}, set(futures) - {newest}
+
+        monkeypatch.setattr(campaign_mod, "ProcessPoolExecutor", LifoPool)
+        monkeypatch.setattr(campaign_mod, "wait", lifo_wait)
+
+        def finish(unit, result):
+            unfinished.discard(position[unit.unit_id])
+
+        execute_units(units, 2, finish)
+        window = max(4 * 2, 16)
+        assert max(spreads) == window - 1
+        # Equal weights: the stable heaviest-first sort keeps input order.
+        assert submitted == list(range(len(units)))
+        assert unfinished == set()
 
 
 class TestSoakUnits:
