@@ -15,13 +15,14 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 ## first so a stale README section or an undigested oracle edit fails
 ## fast, before the two-minute suite. Tests marked `exhaustive` (full
 ## small-scope sweeps, the explorer tightness matrix) are skipped
-## here; `make test-all` runs everything.
+## here; `make test-all` runs everything. Both fail on any
+## DeprecationWarning, so no deprecated code path can come back unseen.
 test: docs-check lint
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q -W error::DeprecationWarning
 
 ## the whole suite including the exhaustive tier
 test-all: docs-check lint
-	$(PYTHON) -m pytest -q --exhaustive
+	$(PYTHON) -m pytest -q --exhaustive -W error::DeprecationWarning
 
 ## the AST-based invariant linter: determinism, oracle freezing, and
 ## cache-schema discipline over the package, tests, benchmarks, and

@@ -1,6 +1,6 @@
 """Benchmark: message-fabric delivery vs the pre-fabric receiver loop.
 
-:class:`~repro.sim.network.RoundEngine` materialises each round's
+:class:`~repro.sim.kernel.ExecutionKernel` materialises each round's
 common delivery multiset once and stamps per-receiver inboxes from it;
 :class:`~repro.sim.network.ReferenceRoundEngine` keeps the old
 O(n^2 log n) rebuild-and-sort loop.  This bench steps both engines over
@@ -27,7 +27,7 @@ from repro.core.identity import balanced_assignment
 from repro.core.params import SystemParams, Synchrony
 from repro.sim import fabric
 from repro.sim.kernel import BasicPsync, ExecutionKernel, LockStep
-from repro.sim.network import ReferenceRoundEngine, RoundEngine
+from repro.sim.network import ReferenceRoundEngine
 from repro.sim.partial import PartitionSchedule
 from repro.sim.process import Process
 
@@ -83,7 +83,7 @@ def test_fabric_step_throughput(benchmark):
             ("clean", lambda: None),
             ("byz-delta", lambda: RandomByzantineAdversary(seed=11)),
         ):
-            fabric = _build(RoundEngine, n, ell, byz, adversary_fn())
+            fabric = _build(ExecutionKernel, n, ell, byz, adversary_fn())
             reference = _build(ReferenceRoundEngine, n, ell, byz,
                                adversary_fn())
             fabric_sps = _steps_per_second(fabric, rounds)
@@ -105,7 +105,7 @@ def test_fabric_step_throughput(benchmark):
             label, f"{fabric_sps:.1f}", f"{reference_sps:.1f}",
             f"{fabric_sps / reference_sps:.2f}x",
         ))
-    emit(f"RoundEngine.step() fabric vs reference (n={n})", rows)
+    emit(f"ExecutionKernel.step() fabric vs reference (n={n})", rows)
 
     clean_speedup = results["clean"][0] / results["clean"][1]
     benchmark.extra_info["clean_speedup"] = round(clean_speedup, 2)
@@ -222,7 +222,7 @@ def test_fabric_scaling_profile(benchmark):
     def body():
         series = []
         for n in (16, 32, 64, 96):
-            fabric = _build(RoundEngine, n, max(4, n // 4), (n - 1,), None)
+            fabric = _build(ExecutionKernel, n, max(4, n // 4), (n - 1,), None)
             reference = _build(
                 ReferenceRoundEngine, n, max(4, n // 4), (n - 1,), None
             )

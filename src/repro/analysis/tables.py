@@ -11,6 +11,7 @@ run.
 from __future__ import annotations
 
 from repro.analysis.bounds import solvable
+from repro.core.errors import ConfigurationError
 from repro.core.params import Synchrony, SystemParams
 
 
@@ -56,7 +57,14 @@ def boundary_map(n: int, t: int) -> str:
     """Per-``ell`` solvability grid for fixed ``(n, t)``, all four models.
 
     ``S`` marks solvable, ``.`` unsolvable; columns are ``ell = 1..n``.
+
+    Raises:
+        ConfigurationError: When ``n < 1`` or ``t < 0``.
     """
+    if n < 1:
+        raise ConfigurationError(f"n must be >= 1, got {n}")
+    if t < 0:
+        raise ConfigurationError(f"t must be >= 0, got {t}")
     models = [
         ("sync  unrestricted        ", Synchrony.SYNCHRONOUS, False, False),
         ("sync  restricted+numerate ", Synchrony.SYNCHRONOUS, True, True),

@@ -147,11 +147,16 @@ def cmd_table1(args) -> int:
 
     Returns:
         Process exit code (always 0).
+
+    Raises:
+        ConfigurationError: When ``n < 1`` or ``t < 0``; raised before
+            anything is printed.
     """
+    boundary = None if args.n is None else boundary_map(args.n, args.t)
     print(table1_text())
-    if args.n is not None:
+    if boundary is not None:
         print()
-        print(boundary_map(args.n, args.t))
+        print(boundary)
     return 0
 
 
@@ -163,6 +168,10 @@ def cmd_check(args) -> int:
 
     Returns:
         Process exit code (always 0).
+
+    Raises:
+        ConfigurationError: On invalid ``(n, ell, t)``; raised before
+            anything is printed.
     """
     n, ell, t = args.n, args.ell, args.t
     rows = [
@@ -177,11 +186,15 @@ def cmd_check(args) -> int:
          Synchrony.PARTIALLY_SYNCHRONOUS, True, True,
          "Theorem 15: ell > t"),
     ]
+    # Build (and so validate) every model's params before printing.
+    models = [
+        SystemParams(n=n, ell=ell, t=t, synchrony=synchrony,
+                     numerate=numerate, restricted=restricted)
+        for _name, synchrony, numerate, restricted, _theorem in rows
+    ]
     print(f"n={n}, ell={ell}, t={t} (PSL bound n > 3t: "
           f"{'met' if n > 3 * t else 'VIOLATED'})")
-    for name, synchrony, numerate, restricted, theorem in rows:
-        params = SystemParams(n=n, ell=ell, t=t, synchrony=synchrony,
-                              numerate=numerate, restricted=restricted)
+    for (name, *_model, theorem), params in zip(rows, models):
         verdict = "solvable" if solvable(params) else "unsolvable"
         print(f"  {name:<44} {verdict:<11} ({theorem})")
     return 0

@@ -5,8 +5,8 @@ of this package tests against *chosen* strategies.  :mod:`repro.explore`
 closes the gap at small scope: it systematically enumerates adversary
 strategies round by round over a finite emission alphabet
 (:mod:`~repro.explore.alphabet`), drives the ordinary
-:class:`~repro.sim.network.RoundEngine` through the resulting strategy
-tree with checkpoint/restore (:mod:`~repro.explore.search`), and
+:class:`~repro.sim.kernel.ExecutionKernel` through the resulting
+strategy tree with checkpoint/restore (:mod:`~repro.explore.search`), and
 returns either a concrete replayable violation
 (:mod:`~repro.explore.strategy`) or an explicit bounded-exhaustiveness
 certificate (:mod:`~repro.explore.certificate`).

@@ -226,10 +226,14 @@ def default_scenario(
         The ready-to-run scenario.
 
     Raises:
-        ConfigurationError: When the scope is too large to explore
-            (more than 6 correct processes would need cut enumeration).
+        ConfigurationError: When ``depth < 1`` (no round to search, so
+            no certificate) or the scope is too large to explore (more
+            than 6 correct processes would need cut enumeration).
     """
     from repro.experiments.harness import algorithm_for
+
+    if depth is not None and depth < 1:
+        raise ConfigurationError(f"explore depth must be >= 1, got {depth}")
 
     assignment = (
         balanced_assignment(params.n, params.ell)

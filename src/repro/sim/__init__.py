@@ -10,7 +10,6 @@ from repro.sim.adversary import (
 from repro.sim.delay import (
     AlwaysBoundedUnknownDelays,
     DelayPolicy,
-    DelayRoundSimulator,
     DelaySimulationResult,
     EventuallyBoundedDelays,
     ReferenceDelaySimulator,
@@ -31,10 +30,9 @@ from repro.sim.metrics import (
     Metrics,
     RoundDeliveries,
     metrics_from_deliveries,
-    metrics_from_trace,
     payload_size,
 )
-from repro.sim.network import ReferenceRoundEngine, RoundEngine
+from repro.sim.network import ReferenceRoundEngine
 from repro.sim.partial import (
     DropSchedule,
     ExplicitDrops,
@@ -64,7 +62,6 @@ __all__ = [
     "ComposedTiming",
     "DelayBased",
     "DelayPolicy",
-    "DelayRoundSimulator",
     "DelaySimulationResult",
     "EventuallyBoundedDelays",
     "ExecutionKernel",
@@ -92,7 +89,6 @@ __all__ = [
     "EngineCheckpoint",
     "ReferenceRoundEngine",
     "RoundDeliveries",
-    "RoundEngine",
     "RoundRecord",
     "RunSummary",
     "SilenceUntil",
@@ -101,7 +97,6 @@ __all__ = [
     "Trace",
     "make_processes",
     "metrics_from_deliveries",
-    "metrics_from_trace",
     "normalize_emissions",
     "payload_size",
     "run_agreement",

@@ -20,9 +20,9 @@ not get?*
   the tick window ``[r*delta, (r+1)*delta)``; a message whose
   policy-assigned delay lands it outside its window is *lost*, which is
   exactly the basic-model loss the paper's equivalence argument
-  describes.  The per-message tick loop of the legacy
-  ``DelayRoundSimulator`` is replaced by per-round late-delta stamping
-  on the fabric, and the policy's ``max_late_tick`` contract lets
+  describes.  The per-message tick loop of the pre-kernel delay
+  simulator is replaced by per-round late-delta stamping on the
+  fabric, and the policy's ``max_late_tick`` contract lets
   punctual rounds skip delay evaluation entirely -- the delay models
   inherit the fabric's shared-canonical-base fast path.
 
@@ -49,12 +49,6 @@ the pure-Python per-receiver fallback.
 Determinism: given identical processes, adversary and timing model,
 the kernel produces byte-identical traces.  All iteration is over
 sorted indices and inboxes are canonically ordered.
-
-Compatibility shims: :class:`repro.sim.network.RoundEngine` is the
-kernel with a :class:`BasicPsync`/:class:`LockStep` model built from
-its legacy ``drop_schedule``/``topology`` arguments, and
-:class:`repro.sim.delay.DelayRoundSimulator` is a deprecated wrapper
-over the kernel with a :class:`DelayBased` model.
 """
 
 from __future__ import annotations

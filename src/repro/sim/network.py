@@ -1,19 +1,18 @@
-"""The round-based network engine, as a kernel specialisation.
+"""The pre-fabric round engine, kept as a differential oracle.
 
 The batched message fabric and its execution pipeline live in
-:mod:`repro.sim.kernel`; this module keeps the historical entry points:
+:mod:`repro.sim.kernel`: every round-based execution runs on the
+:class:`~repro.sim.kernel.ExecutionKernel` with a
+:class:`~repro.sim.kernel.LockStep` or
+:class:`~repro.sim.kernel.BasicPsync` timing model (one engine covers
+both round-based synchrony models: the synchronous model is the
+partially synchronous model with the
+:class:`~repro.sim.partial.NoDrops` schedule).
 
-* :class:`RoundEngine` is the :class:`~repro.sim.kernel.ExecutionKernel`
-  with the timing model built from the legacy ``drop_schedule`` /
-  ``topology`` constructor arguments (:class:`~repro.sim.kernel.LockStep`
-  when both are unset, :class:`~repro.sim.kernel.BasicPsync` otherwise).
-  One engine still covers both round-based synchrony models: the
-  synchronous model is the partially synchronous model with the
-  :class:`~repro.sim.partial.NoDrops` schedule.
-* :class:`ReferenceRoundEngine` keeps the pre-fabric per-receiver
-  delivery loop as a differential oracle: the equivalence tests pin the
-  kernel's traces, inboxes, verdicts and delivery counts against it,
-  and ``benchmarks/test_bench_fabric.py`` measures the speedup over it.
+:class:`ReferenceRoundEngine` keeps the pre-fabric per-receiver
+delivery loop as a differential oracle: the equivalence tests pin the
+kernel's traces, inboxes, verdicts and delivery counts against it, and
+``benchmarks/test_bench_fabric.py`` measures the speedup over it.
 
 Determinism: given identical processes, adversary, schedule and
 topology, the engine produces byte-identical traces.  All iteration is
@@ -28,27 +27,30 @@ from repro.core.identity import IdentityAssignment
 from repro.core.messages import Inbox, Message
 from repro.core.params import SystemParams
 from repro.sim.adversary import Adversary
-from repro.sim.kernel import (
-    EngineCheckpoint,
-    ExecutionKernel,
-    timing_model_for,
-)
+from repro.sim.kernel import ExecutionKernel, timing_model_for
 from repro.sim.metrics import RoundDeliveries, payload_size
 from repro.sim.partial import DropSchedule, NoDrops
 from repro.sim.process import Process
 from repro.sim.topology import CompleteTopology, Topology
 
-__all__ = ["EngineCheckpoint", "ReferenceRoundEngine", "RoundEngine"]
+__all__ = ["ReferenceRoundEngine"]
 
 
-class RoundEngine(ExecutionKernel):
-    """Drives one execution of the round-based model.
+class ReferenceRoundEngine(ExecutionKernel):
+    """The pre-fabric delivery loop, kept as a differential oracle.
 
-    A thin specialisation of :class:`~repro.sim.kernel.ExecutionKernel`
-    keeping the pre-kernel constructor (``drop_schedule``/``topology``
-    instead of a :class:`~repro.sim.kernel.TimingModel`) and the
-    ``drop_schedule``/``topology`` attributes older callers and the
-    reference oracle read.
+    Rebuilds and sorts every receiver's inbox from scratch --
+    O(n^2 log n) per round -- exactly as the engine did before the
+    message fabric landed.  The equivalence tests pin the kernel's
+    traces, verdicts, inboxes and delivery counts against this class,
+    and ``benchmarks/test_bench_fabric.py`` measures the speedup over
+    it.  Not for production use.
+
+    Takes the pre-kernel ``drop_schedule``/``topology`` arguments
+    instead of a :class:`~repro.sim.kernel.TimingModel`; the kernel's
+    timing model is built from them by
+    :func:`~repro.sim.kernel.timing_model_for`, and the delivery loop
+    reads them directly.
     """
 
     def __init__(
@@ -71,18 +73,6 @@ class RoundEngine(ExecutionKernel):
         )
         self.drop_schedule = drop_schedule if drop_schedule is not None else NoDrops()
         self.topology = topology if topology is not None else CompleteTopology()
-
-
-class ReferenceRoundEngine(RoundEngine):
-    """The pre-fabric delivery loop, kept as a differential oracle.
-
-    Rebuilds and sorts every receiver's inbox from scratch --
-    O(n^2 log n) per round -- exactly as the engine did before the
-    message fabric landed.  The equivalence tests pin the kernel's
-    traces, verdicts, inboxes and delivery counts against this class,
-    and ``benchmarks/test_bench_fabric.py`` measures the speedup over
-    it.  Not for production use.
-    """
 
     def _deliver_round(
         self,

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -233,7 +234,9 @@ def run_soak(
         The :class:`SoakOutcome` (per-instance rows are in the log).
 
     Raises:
-        ConfigurationError: No budget at all, or a bad window size.
+        ConfigurationError: No budget at all, a negative instance
+            budget, a duration that is not finite and positive, or a
+            bad window size.
         SimulationError: A worker's records diverge from the driver's
             sampled stream (sampling schema drift).
     """
@@ -245,6 +248,10 @@ def run_soak(
         )
     if instances is not None and instances < 0:
         raise ConfigurationError(f"instances must be >= 0, got {instances}")
+    if duration is not None and not (math.isfinite(duration) and duration > 0):
+        raise ConfigurationError(
+            f"duration must be a finite number > 0, got {duration}"
+        )
     if window < 1:
         raise ConfigurationError(f"window must be >= 1, got {window}")
 

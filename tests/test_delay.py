@@ -5,12 +5,8 @@ unchanged over tick-based networks with adversarial delays, late
 messages become basic-model losses, and post-stabilisation everything
 is punctual -- so Figure 5 / Figure 7 keep their guarantees.  The
 round simulation runs on the unified kernel
-(:func:`repro.sim.delay.run_delay_execution`); the deprecated
-:class:`~repro.sim.delay.DelayRoundSimulator` shim must warn and
-delegate to it.
+(:func:`repro.sim.delay.run_delay_execution`).
 """
-
-import warnings
 
 import pytest
 
@@ -18,12 +14,13 @@ from repro.core.errors import ConfigurationError
 from repro.core.identity import balanced_assignment
 from repro.core.params import SystemParams, Synchrony
 from repro.core.problem import BINARY, check_agreement_properties
+from repro.experiments.workloads import delay_policy_battery
 from repro.psync.dls_homonyms import DLSHomonymProcess, dls_horizon
 from repro.psync.restricted import RestrictedNumerateProcess, restricted_horizon
 from repro.sim.delay import (
     AlwaysBoundedUnknownDelays,
-    DelayRoundSimulator,
     EventuallyBoundedDelays,
+    ReferenceDelaySimulator,
     equivalent_basic_gst,
     run_delay_execution,
 )
@@ -48,6 +45,8 @@ class TestDelayPolicies:
     def test_delta_validated(self):
         with pytest.raises(ConfigurationError):
             EventuallyBoundedDelays(delta=0, gst_tick=0)
+        with pytest.raises(ConfigurationError, match="chaos_factor"):
+            EventuallyBoundedDelays(delta=2, gst_tick=0, chaos_factor=0)
 
     def test_post_gst_delays_within_delta(self):
         policy = EventuallyBoundedDelays(delta=4, gst_tick=20, seed=1)
@@ -130,55 +129,69 @@ class TestRoundSimulation:
             assert own, f"round {r} lost the self-message"
 
 
-class TestDeprecatedShim:
-    """DelayRoundSimulator must warn and delegate to the kernel."""
+class TestKernelDelayResult:
+    """What :func:`run_delay_execution` reports about the kernel run."""
 
-    def _setup(self):
-        params = SystemParams(n=3, ell=3, t=0)
-        assignment = balanced_assignment(3, 3)
-        processes = [EchoProcess(assignment.identifier_of(k))
-                     for k in range(3)]
+    def _setup(self, n=3, byzantine=()):
+        params = SystemParams(n=n, ell=n, t=len(byzantine))
+        assignment = balanced_assignment(n, n)
+        processes = [None if k in byzantine
+                     else EchoProcess(assignment.identifier_of(k))
+                     for k in range(n)]
         return params, assignment, processes
 
-    def test_construction_warns(self):
-        params, assignment, processes = self._setup()
-        with pytest.warns(DeprecationWarning, match="DelayRoundSimulator"):
-            DelayRoundSimulator(
-                params, assignment, processes,
-                AlwaysBoundedUnknownDelays(true_delta=2),
-            )
-
-    def test_shim_matches_the_kernel_path(self):
+    def test_matches_the_tick_loop(self):
         policy = EventuallyBoundedDelays(delta=2, gst_tick=10,
                                          chaos_factor=5, seed=6)
-        params, assignment, shim_procs = self._setup()
-        with pytest.warns(DeprecationWarning):
-            shim = DelayRoundSimulator(params, assignment, shim_procs, policy)
-        shim_result = shim.run(max_rounds=8, stop_when_all_decided=False)
+        params, assignment, ref_procs = self._setup()
+        reference = ReferenceDelaySimulator(params, assignment, ref_procs,
+                                            policy)
+        ref_result = reference.run(max_rounds=8, stop_when_all_decided=False)
 
         _, _, kernel_procs = self._setup()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            kernel_result = run_delay_execution(
-                params, assignment, kernel_procs, policy,
-                max_rounds=8, stop_when_all_decided=False,
-            )
-        assert shim_result.dropped == kernel_result.dropped
-        assert shim_result.ticks_executed == kernel_result.ticks_executed
-        assert len(shim.trace) == len(kernel_result.trace)
-        for a, b in zip(shim.trace, kernel_result.trace):
+        kernel_result = run_delay_execution(
+            params, assignment, kernel_procs, policy,
+            max_rounds=8, stop_when_all_decided=False,
+        )
+        assert kernel_result.dropped  # the comparison covers losses
+        # Same loss set; the two loops log it in different orders.
+        assert sorted(ref_result.dropped) == sorted(kernel_result.dropped)
+        assert ref_result.ticks_executed == kernel_result.ticks_executed
+        assert len(ref_result.trace) == len(kernel_result.trace)
+        for a, b in zip(ref_result.trace, kernel_result.trace):
             assert (a.payloads, a.decisions) == (b.payloads, b.decisions)
 
-    def test_shim_exposes_trace_and_correct(self):
+    def test_exposes_trace_and_round_counts(self):
         params, assignment, processes = self._setup()
-        with pytest.warns(DeprecationWarning):
-            shim = DelayRoundSimulator(
-                params, assignment, processes,
-                AlwaysBoundedUnknownDelays(true_delta=2),
-            )
-        shim.run(max_rounds=3, stop_when_all_decided=False)
-        assert len(shim.trace) == 3
-        assert shim._correct == (0, 1, 2)
+        result = run_delay_execution(
+            params, assignment, processes,
+            AlwaysBoundedUnknownDelays(true_delta=2),
+            max_rounds=3, stop_when_all_decided=False,
+        )
+        assert len(result.trace) == 3
+        assert result.rounds_executed == 3
+        assert result.ticks_executed == 3 * 2
+        assert sorted(result.trace.record(0).payloads) == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "policy_name", [name for name, _ in delay_policy_battery()]
+    )
+    def test_losses_are_correct_to_correct_and_pre_gst(self, policy_name):
+        policy = dict(delay_policy_battery(2))[policy_name]
+        byz = (4,)
+        params, assignment, processes = self._setup(n=5, byzantine=byz)
+        gst_round = equivalent_basic_gst(policy)
+        result = run_delay_execution(
+            params, assignment, processes, policy, byzantine=byz,
+            max_rounds=gst_round + 4, stop_when_all_decided=False,
+        )
+        for round_no, sender, recipient in result.dropped:
+            assert round_no < gst_round
+            assert sender != recipient
+            assert sender not in byz and recipient not in byz
+        assert result.last_lost_round() < gst_round
+        if gst_round > 0:
+            assert result.dropped  # pre-GST chaos did lose something
 
 
 class TestAlgorithmsOverDelayNetworks:

@@ -2,8 +2,7 @@
 
 Every execution loop in the package is (or pins against) the unified
 kernel: :class:`~repro.sim.kernel.ExecutionKernel` under a
-:class:`~repro.sim.kernel.TimingModel`, its legacy facade
-:class:`~repro.sim.network.RoundEngine`, the pre-fabric differential
+:class:`~repro.sim.kernel.TimingModel`, the pre-fabric differential
 oracle :class:`~repro.sim.network.ReferenceRoundEngine`, and the two
 delay loops (:class:`~repro.sim.delay.ReferenceDelaySimulator`, the
 per-message tick loop, vs the kernel's
@@ -17,8 +16,6 @@ schedule and adversary combination.  Per the paper's algorithms
 must keep participating so laggards can still finish.
 """
 
-import warnings
-
 import pytest
 
 from repro.adversaries.generic import RandomByzantineAdversary
@@ -29,13 +26,12 @@ from repro.psync.dls_homonyms import dls_factory, dls_horizon
 from repro.sim.adversary import NullAdversary
 from repro.sim.delay import (
     AlwaysBoundedUnknownDelays,
-    DelayRoundSimulator,
     ReferenceDelaySimulator,
     run_delay_execution,
 )
-from repro.sim.kernel import BasicPsync, ExecutionKernel
+from repro.sim.kernel import BasicPsync, ExecutionKernel, timing_model_for
 from repro.sim.metrics import metrics_from_deliveries
-from repro.sim.network import ReferenceRoundEngine, RoundEngine
+from repro.sim.network import ReferenceRoundEngine
 from repro.sim.partial import (
     ExplicitDrops,
     PartitionSchedule,
@@ -81,7 +77,7 @@ class TestEngineEquivalence:
         rounds = dls_horizon(params, 0)
 
         procs_a, _ = build_processes(params, assignment, byz)
-        engine = RoundEngine(
+        engine = ExecutionKernel(
             params=params, assignment=assignment, processes=procs_a,
             byzantine=byz, adversary=RandomByzantineAdversary(seed=seed),
         )
@@ -150,34 +146,6 @@ class TestDelayKernelMatchesTickLoop:
             drop for drop in ref_result.dropped if drop[2] not in byz_set
         )
 
-    def test_deprecated_shim_equals_kernel_path(self):
-        params = SystemParams(
-            n=7, ell=6, t=1, synchrony=Synchrony.PARTIALLY_SYNCHRONOUS
-        )
-        assignment = balanced_assignment(7, 6)
-        byz = (6,)
-        policy = dict(delay_policy_battery(3))["eventual-d2-gst24"]
-        rounds = dls_horizon(params, 16)
-
-        procs_a, _ = build_processes(params, assignment, byz)
-        with pytest.warns(DeprecationWarning):
-            shim = DelayRoundSimulator(
-                params, assignment, procs_a, policy, byzantine=byz,
-            )
-        shim_result = shim.run(max_rounds=rounds)
-
-        procs_b, _ = build_processes(params, assignment, byz)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            kernel_result = run_delay_execution(
-                params, assignment, procs_b, policy, byzantine=byz,
-                max_rounds=rounds,
-            )
-
-        assert canonical(shim_result.trace) == canonical(kernel_result.trace)
-        assert shim_result.dropped == kernel_result.dropped
-        assert shim_result.ticks_executed == kernel_result.ticks_executed
-
 
 def _fabric_scenarios():
     """(name, topology factory, schedule factory, adversary factory)."""
@@ -205,13 +173,14 @@ def _fabric_scenarios():
 
 
 class TestFabricMatchesReference:
-    """Kernel and legacy facade vs the pre-fabric per-receiver loop.
+    """The kernel vs the pre-fabric per-receiver loop.
 
-    Three engines run every scenario of the grid: the kernel built
-    directly with a :class:`BasicPsync` timing model, the legacy
-    :class:`RoundEngine` constructor (which must build the identical
-    kernel), and the pre-refactor :class:`ReferenceRoundEngine` oracle.
-    All three must agree byte for byte.
+    Three engines run every scenario of the grid: the kernel with a
+    :class:`BasicPsync` timing model, the kernel with the model
+    :func:`timing_model_for` derives from the same arguments
+    (:class:`~repro.sim.kernel.LockStep` when both are unset), and the
+    pre-refactor :class:`ReferenceRoundEngine` oracle.  All three must
+    agree byte for byte.
     """
 
     N, ELL, BYZ = 7, 6, (6,)
@@ -223,19 +192,16 @@ class TestFabricMatchesReference:
         )
         assignment = balanced_assignment(self.N, self.ELL)
 
-        def kernel_direct(**kwargs):
-            return ExecutionKernel(
-                params=kwargs["params"],
-                assignment=kwargs["assignment"],
-                processes=kwargs["processes"],
-                byzantine=kwargs["byzantine"],
-                adversary=kwargs["adversary"],
-                timing=BasicPsync(kwargs["drop_schedule"],
-                                  kwargs["topology"]),
-            )
+        def kernel_with(timing_for):
+            def build(drop_schedule, topology, **kwargs):
+                return ExecutionKernel(
+                    **kwargs, timing=timing_for(drop_schedule, topology)
+                )
+            return build
 
         engines = []
-        for build in (kernel_direct, RoundEngine, ReferenceRoundEngine):
+        for build in (kernel_with(BasicPsync), kernel_with(timing_model_for),
+                      ReferenceRoundEngine):
             procs = procs_fn(params, assignment)
             engines.append((build(
                 params=params, assignment=assignment, processes=procs,
@@ -318,9 +284,9 @@ class TestFabricMatchesReference:
         # Receiver 0 hears only sender 1; everyone else hears everyone.
         topology = DirectedTopology({0: {1}})
         procs = [EchoProcess(assignment.identifier_of(k)) for k in range(4)]
-        engine = RoundEngine(
+        engine = ExecutionKernel(
             params=params, assignment=assignment, processes=procs,
-            topology=topology,
+            timing=BasicPsync(topology=topology),
         )
         engine.run(max_rounds=3, stop_when_all_decided=False)
         for d in engine.deliveries:
@@ -341,7 +307,7 @@ class TestContinueRunning:
         assignment = balanced_assignment(7, 6)
         byz = (6,)
         processes, _ = build_processes(params, assignment, byz)
-        engine = RoundEngine(
+        engine = ExecutionKernel(
             params=params, assignment=assignment, processes=processes,
             byzantine=byz,
         )
@@ -361,7 +327,7 @@ class TestContinueRunning:
         )
         assignment = balanced_assignment(7, 6)
         processes, _ = build_processes(params, assignment, (6,))
-        engine = RoundEngine(
+        engine = ExecutionKernel(
             params=params, assignment=assignment, processes=processes,
             byzantine=(6,),
         )

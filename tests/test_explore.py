@@ -30,6 +30,7 @@ from repro.core.identity import IdentityAssignment, balanced_assignment
 from repro.core.params import SystemParams, Synchrony
 from repro.core.problem import BINARY
 from repro.classic.eig import EIGSpec
+from repro.cli import main
 from repro.experiments.campaign import (
     CampaignUnit,
     enumerate_explore_units,
@@ -47,7 +48,7 @@ from repro.explore import (
 )
 from repro.homonyms.transform import transform_factory
 from repro.psync.dls_homonyms import DLSHomonymProcess
-from repro.sim.network import RoundEngine
+from repro.sim.kernel import ExecutionKernel
 from repro.sim.process import EchoProcess
 from repro.sim.runner import run_agreement
 
@@ -62,7 +63,7 @@ class TestEngineCheckpoint:
         params = SystemParams(n=3, ell=3, t=0)
         assignment = balanced_assignment(3, 3)
         processes = [EchoProcess(i + 1) for i in range(3)]
-        return RoundEngine(params, assignment, processes)
+        return ExecutionKernel(params, assignment, processes)
 
     def test_restore_rewinds_and_rebranches(self):
         engine = self._engine()
@@ -247,6 +248,17 @@ class TestScenarioConstruction:
         scenario.max_children = 8  # far below the real branching factor
         with pytest.raises(ConfigurationError):
             explore(scenario)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, depth, capsys):
+        with pytest.raises(ConfigurationError, match="depth must be >= 1"):
+            default_scenario(SystemParams(n=4, ell=4, t=1), depth=depth)
+        code = main(["explore", "--n", "4", "--ell", "4", "--t", "1",
+                     "--depth", str(depth)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "depth must be >= 1" in captured.err
+        assert "consistent" not in captured.out
 
     def test_scope_guard_rejects_large_psync(self):
         with pytest.raises(ConfigurationError):

@@ -16,7 +16,7 @@ from repro.core.errors import AdversaryViolation
 from repro.core.identity import balanced_assignment
 from repro.core.params import SystemParams
 from repro.core.problem import BINARY
-from repro.sim.network import RoundEngine
+from repro.sim.kernel import ExecutionKernel
 from repro.sim.process import EchoProcess
 
 
@@ -29,7 +29,7 @@ def make_engine(adversary, n=4, ell=4, t=1, byz=(3,), restricted=False,
         None if k in byz else EchoProcess(assignment.identifier_of(k))
         for k in range(n)
     ]
-    engine = RoundEngine(
+    engine = ExecutionKernel(
         params=params, assignment=assignment, processes=processes,
         byzantine=byz, adversary=adversary,
     )

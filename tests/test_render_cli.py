@@ -183,6 +183,28 @@ class TestCLI:
         assert code == 2
         assert "--timing eventual" in capsys.readouterr().err
 
+    def test_run_rejects_chaos_factor_below_one(self, capsys):
+        code = main([
+            "run", "--n", "6", "--ell", "5", "--t", "1", "--model", "psync",
+            "--timing", "eventual", "--chaos", "-1",
+        ])
+        assert code == 2
+        assert "chaos_factor must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--n", "0"],
+        ["table1", "--n", "-3"],
+        ["table1", "--n", "5", "--t", "-1"],
+        ["check", "0", "0", "0"],
+        ["check", "4", "4", "-1"],
+    ], ids=["table1-n0", "table1-n-neg", "table1-t-neg", "check-n0",
+            "check-t-neg"])
+    def test_invalid_parameters_fail_before_printing(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be >= " in captured.err
+
     def test_campaign_help_exposes_the_delay_family(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["campaign", "--help"])

@@ -281,6 +281,12 @@ class TestDriver:
             run_soak(PROFILE, instances=-1, log_path=log)
         with pytest.raises(ConfigurationError):
             run_soak(PROFILE, instances=10, window=0, log_path=log)
+        (tmp_path / "soak.jsonl").write_text("keep\n")
+        for duration in (0, -1, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="duration"):
+                run_soak(PROFILE, duration=duration, log_path=log)
+        # Rejected before the log is opened (and truncated).
+        assert (tmp_path / "soak.jsonl").read_text() == "keep\n"
 
     def test_worker_label_drift_is_a_hard_error(self, tmp_path, monkeypatch):
         # If the worker's sampled stream diverges from the driver's
@@ -322,6 +328,13 @@ class TestCLI:
         code = main(["soak", "--log", str(tmp_path / "soak.jsonl")])
         assert code == 2
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("duration", ["nan", "-1"])
+    def test_soak_rejects_bad_duration(self, tmp_path, capsys, duration):
+        code = main(["soak", "--quick", "--duration", duration,
+                     "--log", str(tmp_path / "soak.jsonl")])
+        assert code == 2
+        assert "duration must be" in capsys.readouterr().err
 
     def test_soak_rejects_unknown_profile(self, tmp_path, capsys):
         code = main([

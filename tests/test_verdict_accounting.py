@@ -12,9 +12,9 @@ Three bug classes are pinned here:
   ``repr``, whose formatting and set-iteration order can drift across
   Python versions and hash seeds -- and with it the campaign cache
   identity.
-* :func:`repro.sim.metrics.metrics_from_trace` is a deprecated
-  estimate: it must warn on every use and refuse to pretend full
-  fanout when the execution ran under a restricting topology.
+* :func:`repro.sim.runner.run_execution` reports exact metrics: under
+  a topology that cuts links it counts only the edges that delivered,
+  never a uniform full fanout.
 """
 
 import hashlib
@@ -30,11 +30,12 @@ from repro.core.errors import ConfigurationError
 from repro.core.identity import balanced_assignment
 from repro.core.params import SystemParams
 from repro.experiments.campaign import CACHE_SCHEMA, CampaignUnit
-from repro.sim.metrics import Metrics, metrics_from_trace
-from repro.sim.process import Process
+from repro.sim.kernel import LockStep
+from repro.sim.metrics import Metrics
+from repro.sim.process import EchoProcess, Process
 from repro.sim.runner import ExecutionResult, run_execution
 from repro.sim.topology import CompleteTopology, DirectedTopology
-from repro.sim.trace import RoundRecord, Trace
+from repro.sim.trace import Trace
 
 
 class InstantDecider(Process):
@@ -160,30 +161,33 @@ class TestCanonicalKeys:
         assert json.loads(payload)[0] == CACHE_SCHEMA
 
 
-class TestMetricsFromTraceShim:
-    def _trace(self):
-        trace = Trace()
-        trace.append(RoundRecord(
-            round_no=0, payloads={0: "x", 1: "y"}, emissions={}, decisions={},
-        ))
-        return trace
+class TestExactMetrics:
+    N, ROUNDS = 3, 2
 
-    def test_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="metrics_from_deliveries"):
-            m = metrics_from_trace(self._trace(), fanout=3)
-        assert m.correct_messages == 6
+    def _run_echo(self, **timing):
+        assignment = balanced_assignment(self.N, self.N)
+        return run_execution(
+            params=SystemParams(n=self.N, ell=self.N, t=0),
+            assignment=assignment,
+            processes=[EchoProcess(assignment.identifier_of(k))
+                       for k in range(self.N)],
+            max_rounds=self.ROUNDS,
+            stop_when_all_decided=False,
+            require_termination=False,
+            **timing,
+        )
 
-    def test_complete_topology_accepted(self):
-        with pytest.warns(DeprecationWarning):
-            m = metrics_from_trace(
-                self._trace(), fanout=3, topology=CompleteTopology()
-            )
-        assert m.correct_messages == 6
+    def test_complete_topology_counts_full_fanout(self):
+        m = self._run_echo(topology=CompleteTopology()).metrics
+        assert m.correct_broadcasts == self.ROUNDS * self.N
+        assert m.correct_messages == self.ROUNDS * self.N * self.N
 
-    def test_restricting_topology_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="full fanout"):
-                metrics_from_trace(
-                    self._trace(), fanout=3,
-                    topology=DirectedTopology({0: {1}}),
-                )
+    def test_restricting_topology_counts_only_delivered_edges(self):
+        # Receiver 0 hears only sender 1 (and itself): one edge is cut.
+        m = self._run_echo(topology=DirectedTopology({0: {1}})).metrics
+        assert m.correct_broadcasts == self.ROUNDS * self.N
+        assert m.correct_messages == self.ROUNDS * (self.N * self.N - 1)
+
+    def test_timing_and_legacy_pair_are_exclusive(self):
+        with pytest.raises(ConfigurationError, match="not both"):
+            self._run_echo(timing=LockStep(), topology=CompleteTopology())
