@@ -22,6 +22,14 @@ import os
 from pathlib import Path
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on; speedup gates need at least 2."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 def run_once(benchmark, fn):
     """Run a heavyweight benchmark body exactly once."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -18,16 +18,9 @@ from __future__ import annotations
 import os
 import time
 
-from benchmarks.conftest import emit, run_once, snapshot
+from benchmarks.conftest import emit, run_once, snapshot, usable_cpus
 from repro.experiments.campaign import run_campaign, table1_cells
 from repro.experiments.harness import evaluate_cell
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def test_campaign_vs_sequential_throughput(benchmark):
@@ -58,7 +51,7 @@ def test_campaign_vs_sequential_throughput(benchmark):
 
     total_runs = sum(len(c.runs) for c in sequential)
     speedup = seq_s / par_s if par_s else float("inf")
-    cpus = _usable_cpus()
+    cpus = usable_cpus()
     benchmark.extra_info["speedup"] = round(speedup, 2)
     benchmark.extra_info["cpus"] = cpus
     snapshot(

@@ -22,19 +22,12 @@ import os
 import time
 from typing import Hashable
 
-from benchmarks.conftest import emit, run_once, snapshot
+from benchmarks.conftest import emit, run_once, snapshot, usable_cpus
 from repro.core.identity import balanced_assignment
 from repro.core.params import SystemParams, Synchrony
 from repro.sim.delay import EventuallyBoundedDelays, ReferenceDelaySimulator
 from repro.sim.kernel import DelayBased, ExecutionKernel
 from repro.sim.process import Process
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 class BroadcastProcess(Process):
@@ -104,7 +97,7 @@ def test_delay_kernel_throughput(benchmark):
         ("speedup", f"{speedup:.2f}x"),
     ])
 
-    cpus = _usable_cpus()
+    cpus = usable_cpus()
     benchmark.extra_info["delay_speedup"] = round(speedup, 2)
     benchmark.extra_info["cpus"] = cpus
     snapshot(

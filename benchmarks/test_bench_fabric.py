@@ -21,7 +21,7 @@ from typing import Hashable
 
 import pytest
 
-from benchmarks.conftest import emit, run_once, snapshot
+from benchmarks.conftest import emit, run_once, snapshot, usable_cpus
 from repro.adversaries.generic import RandomByzantineAdversary
 from repro.core.identity import balanced_assignment
 from repro.core.params import SystemParams, Synchrony
@@ -30,13 +30,6 @@ from repro.sim.kernel import BasicPsync, ExecutionKernel, LockStep
 from repro.sim.network import ReferenceRoundEngine
 from repro.sim.partial import PartitionSchedule
 from repro.sim.process import Process
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 class BroadcastProcess(Process):
@@ -98,7 +91,7 @@ def test_fabric_step_throughput(benchmark):
 
     results = run_once(benchmark, body)
 
-    cpus = _usable_cpus()
+    cpus = usable_cpus()
     rows = [("workload", "fabric steps/s", "reference steps/s", "speedup")]
     for label, (fabric_sps, reference_sps) in results.items():
         rows.append((
@@ -202,7 +195,7 @@ def test_fabric_array_gate(benchmark):
         speedup=speedup,
         extra={"lockstep_1000_sps": round(big_sps, 1)},
     )
-    cpus = _usable_cpus()
+    cpus = usable_cpus()
     min_speedup = float(
         os.environ.get("FABRIC_ARRAY_BENCH_MIN_SPEEDUP", "5.0")
     )

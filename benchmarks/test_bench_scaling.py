@@ -11,7 +11,10 @@ trajectories:
   count is *constant* in n, the whole point of the restricted model;
 * raw kernel round throughput over the array fabric's target range
   (n into the thousands), written to ``BENCH_scaling.json`` so
-  ``make bench-diff`` tracks the large-n win.
+  ``make bench-diff`` tracks the large-n win;
+* Figure 5 on the shared broadcast receive path against the per-item
+  loop it replaced (``tests/per_item_receive.py``), written to
+  ``BENCH_echo.json``.
 
 The cost-model bounds of :mod:`repro.analysis.complexity` are asserted
 along the way, so the printed curves are guaranteed, not incidental.
@@ -22,7 +25,7 @@ from typing import Hashable
 
 import pytest
 
-from benchmarks.conftest import emit, run_once, snapshot
+from benchmarks.conftest import emit, run_once, snapshot, usable_cpus
 from repro.analysis.complexity import (
     dls_all_decided_bound,
     restricted_all_decided_bound,
@@ -37,18 +40,19 @@ from repro.sim.kernel import BasicPsync, ExecutionKernel
 from repro.sim.partial import PartitionSchedule
 from repro.sim.process import Process
 from repro.sim.runner import run_agreement
+from tests.per_item_receive import per_item_dls_factory
 
 PSYNC = Synchrony.PARTIALLY_SYNCHRONOUS
 
 
-def run_fig5(n, t=1):
+def run_fig5(n, t=1, factory=dls_factory):
     ell = (n + 3 * t) // 2 + 1
     params = SystemParams(n=n, ell=ell, t=t, synchrony=PSYNC)
     byz = tuple(range(n - t, n))
     result = run_agreement(
         params=params,
         assignment=balanced_assignment(n, ell),
-        factory=dls_factory(params, BINARY),
+        factory=factory(params, BINARY),
         proposals={k: k % 2 for k in range(n - t)},
         byzantine=byz,
         max_rounds=dls_all_decided_bound(params, 0) + 8,
@@ -188,3 +192,61 @@ def test_scaling_large_n_kernel_throughput(benchmark):
     # Even the scalar fallback clears one round/s at n=1024; the array
     # path clears it by orders of magnitude.  A floor, not a race.
     assert by_n[1024] >= 1.0
+
+
+# ----------------------------------------------------------------------
+# Echo work: the shared receive path vs the per-item loop
+# ----------------------------------------------------------------------
+def _timed_fig5(n, factory):
+    t0 = time.perf_counter()
+    _params, result = run_fig5(n, factory=factory)
+    return time.perf_counter() - t0, result
+
+
+def _outputs(result):
+    return (
+        repr(result.trace.snapshot()),
+        result.metrics,
+        [(p.decision, p.decision_round)
+         for p in result.processes if p is not None],
+    )
+
+
+def test_echo_receive_speedup(benchmark):
+    """Figure 5 at n=32 and n=48: the shared receive path (each echo
+    counted once per sender id, each bundle parsed once) against the
+    per-item loop, with identical outputs; >= 2x at n=32 on >= 2 CPUs.
+    The n=48 ratio is recorded, not asserted."""
+    ns = (32, 48)
+
+    def body():
+        rows = {}
+        for n in ns:
+            shared_s, shared = _timed_fig5(n, dls_factory)
+            per_item_s, per_item = _timed_fig5(n, per_item_dls_factory)
+            assert shared.verdict.ok
+            assert _outputs(shared) == _outputs(per_item)
+            rows[n] = (shared_s, per_item_s)
+        return rows
+
+    rows = run_once(benchmark, body)
+    emit("Figure 5 broadcast receive: shared path vs per-item loop", [
+        ("n", "shared s", "per-item s", "speedup"),
+        *[(n, f"{a:.2f}", f"{b:.2f}", f"{b / a:.2f}x")
+          for n, (a, b) in rows.items()],
+    ])
+    speedups = {n: b / a for n, (a, b) in rows.items()}
+    benchmark.extra_info["speedup"] = {
+        n: round(x, 2) for n, x in speedups.items()
+    }
+    snapshot(
+        "echo",
+        {"ns": list(ns), "t": 1, "timing": "lock-step"},
+        ops_per_s=1.0 / rows[32][0],
+        speedup=speedups[32],
+        extra={"n48_speedup": round(speedups[48], 2)},
+    )
+    if usable_cpus() >= 2:
+        assert speedups[32] >= 2.0, (
+            f"expected >= 2x at n=32, got {speedups[32]:.2f}x"
+        )

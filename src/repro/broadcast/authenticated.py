@@ -29,15 +29,24 @@ anywhere eventually cross everywhere -- relay.
 
 This module is a *layer*, not a process: the host algorithm embeds one
 :class:`AuthenticatedBroadcast` per process, folds
-:meth:`AuthenticatedBroadcast.outgoing` into its round payloads, feeds
-received init/echo items back in, and consumes the resulting
-:class:`Accept` events.
+:meth:`AuthenticatedBroadcast.outgoing` into its round payloads, hands
+every received bundle to :meth:`AuthenticatedBroadcast.receive`, and
+consumes the resulting :class:`Accept` events.
+
+Because echoes are re-sent every round and homonyms send identical
+bundles, almost every received echo repeats one already counted.  The
+receive path counts each ``(sender id, echo)`` pair once: it parses a
+bundle object once however many receivers it reaches, skips a bundle
+whose echoes were all absorbed from that sender id before, and
+:meth:`AuthenticatedBroadcast.note_echo` returns early on a sender it
+has already counted.  All three are exact -- both thresholds can only
+fire on an insert that grows a key's identifier set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Any, Hashable, Iterable
 
 from repro.core.errors import BoundViolation
 
@@ -62,10 +71,21 @@ class AuthenticatedBroadcast:
     and ``2r + 1``.  The host must call, each round and in this order:
 
     1. :meth:`broadcast` (optionally, first round of a superround only),
-    2. :meth:`outgoing` when composing its payload,
-    3. :meth:`note_init` / :meth:`note_echo` for every received item,
+    2. :meth:`outgoing` when composing its payload, whose bundle carries
+       the returned inits and echoes at positions 1 and 2,
+    3. :meth:`receive` once per received bundle, in inbox order,
     4. :meth:`drain_accepts` to collect new ``Accept`` events.
+
+    :meth:`note_init` / :meth:`note_echo` record single items; the
+    receive path calls them for every item it cannot prove redundant.
+    The receive caches (the echo set last absorbed per sender id, the
+    last outgoing echo tuple) are not state: copies start without them
+    and :meth:`__getstate__` leaves them out, so state digests of two
+    processes in the same protocol state stay equal.
     """
+
+    #: Attributes that only cache work; see :meth:`__getstate__`.
+    _CACHES = ("_absorbed", "_sent_echoes")
 
     def __init__(self, ell: int, t: int, ident: int, unchecked: bool = False) -> None:
         if ell <= 3 * t and not unchecked:
@@ -80,6 +100,25 @@ class AuthenticatedBroadcast:
         self._echo_ids: dict[BroadcastKey, set[int]] = {}
         self._accepted: dict[tuple[Hashable, int], int] = {}  # (m, i) -> superround
         self._fresh_accepts: list[Accept] = []
+        self._clear_caches()
+
+    def _clear_caches(self) -> None:
+        #: sender id -> the echo set of a bundle fully absorbed from it.
+        self._absorbed: dict[int, frozenset] = {}
+        #: The last :meth:`outgoing` echo tuple; valid while its length
+        #: equals ``len(self._echoing)``, which only ever grows.
+        self._sent_echoes: tuple = ()
+
+    def __getstate__(self) -> dict[str, Any]:
+        """The protocol state: everything but the receive caches."""
+        return {
+            name: value for name, value in self.__dict__.items()
+            if name not in self._CACHES
+        }
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._clear_caches()
 
     # ------------------------------------------------------------------
     # Sending side
@@ -113,14 +152,43 @@ class AuthenticatedBroadcast:
         self._pending_inits = [
             (m, r) for m, r in self._pending_inits if 2 * r > round_no
         ]
-        echoes = tuple(
-            sorted((("echo", m, r, i) for (m, r, i) in self._echoing), key=repr)
-        )
-        return inits, echoes
+        if len(self._sent_echoes) != len(self._echoing):
+            self._sent_echoes = tuple(
+                sorted(
+                    (("echo", m, r, i) for (m, r, i) in self._echoing),
+                    key=repr,
+                )
+            )
+        return inits, self._sent_echoes
 
     # ------------------------------------------------------------------
     # Receiving side
     # ------------------------------------------------------------------
+    def receive(self, sender_id: int, bundle: tuple, round_no: int) -> None:
+        """Absorb one received bundle from identifier ``sender_id``.
+
+        ``bundle`` is the host's payload tuple, already matched on its
+        tag; positions 1 and 2 hold the init and echo item tuples
+        (anything else there is Byzantine noise and is dropped).  Inits
+        are noted every time, since whether one counts depends on the
+        round.  Echoes are skipped when this sender id's last fully
+        absorbed echo set already holds them all; otherwise each echo
+        not in that set is noted, in bundle order, so the order of
+        accepts is the per-item order.
+        """
+        if not (isinstance(bundle[1], tuple) and isinstance(bundle[2], tuple)):
+            return
+        inits, echoes, echo_set = _parsed(bundle, round_no)
+        for message, superround in inits:
+            self.note_init(sender_id, message, superround, round_no)
+        absorbed = self._absorbed.get(sender_id, frozenset())
+        if echo_set <= absorbed:
+            return
+        for record in echoes:
+            if record not in absorbed:
+                self.note_echo(sender_id, *record, round_no)
+        self._absorbed[sender_id] = echo_set
+
     def note_init(
         self, sender_id: int, message: Hashable, superround: int, round_no: int
     ) -> None:
@@ -142,10 +210,19 @@ class AuthenticatedBroadcast:
         echoed_ident: int,
         round_no: int,
     ) -> None:
-        """Record a received ``<echo m, r, i>`` item from ``sender_id``."""
+        """Record a received ``<echo m, r, i>`` item from ``sender_id``.
+
+        A sender already counted for the key changes nothing: the
+        thresholds were checked when it was added.
+        """
         key: BroadcastKey = (message, int(superround), int(echoed_ident))
-        ids = self._echo_ids.setdefault(key, set())
-        ids.add(int(sender_id))
+        sender = int(sender_id)
+        ids = self._echo_ids.get(key)
+        if ids is None:
+            ids = self._echo_ids[key] = set()
+        elif sender in ids:
+            return
+        ids.add(sender)
         if len(ids) >= self.ell - 2 * self.t:
             self._echoing.add(key)
         if len(ids) >= self.ell - self.t:
@@ -201,3 +278,30 @@ def parse_broadcast_items(
         ):
             echoes.append((item[1], item[2], item[3]))
     return inits, echoes
+
+
+#: Parsed bundles by object identity: ``id(bundle) -> (bundle, parsed)``.
+#: Correct senders hand one payload object to every receiver, so each
+#: is parsed once per round.  Identity, never value: ``1``, ``True`` and
+#: ``1.0`` hash and compare alike, and a value key would hand one run's
+#: parse to a differently typed payload.  Holding the bundle keeps its
+#: id from being reused while the entry lives.  The memo is emptied at
+#: each new round number and when it reaches ``_PARSED_LIMIT`` entries.
+_PARSED: dict[int, tuple[tuple, tuple[list, list, frozenset]]] = {}
+_PARSED_LIMIT = 512
+_parsed_round = -1
+
+
+def _parsed(bundle: tuple, round_no: int) -> tuple[list, list, frozenset]:
+    """``(inits, echoes, frozenset(echoes))`` of ``bundle``, memoised."""
+    global _parsed_round
+    entry = _PARSED.get(id(bundle))
+    if entry is not None and entry[0] is bundle:
+        return entry[1]
+    if round_no != _parsed_round or len(_PARSED) >= _PARSED_LIMIT:
+        _PARSED.clear()
+        _parsed_round = round_no
+    inits, echoes = parse_broadcast_items(bundle[1] + bundle[2])
+    parsed = (inits, echoes, frozenset(echoes))
+    _PARSED[id(bundle)] = (bundle, parsed)
+    return parsed

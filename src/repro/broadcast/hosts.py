@@ -18,11 +18,7 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.broadcast.authenticated import (
-    Accept,
-    AuthenticatedBroadcast,
-    parse_broadcast_items,
-)
+from repro.broadcast.authenticated import Accept, AuthenticatedBroadcast
 from repro.broadcast.multiplicity import (
     MultiplicityAccept,
     MultiplicityBroadcast,
@@ -38,9 +34,11 @@ class AuthenticatedBroadcastHost(Process):
     """Minimal host around :class:`AuthenticatedBroadcast`.
 
     Broadcasts ``("val", value)`` in the first round of
-    ``broadcast_superround`` when ``value`` is not ``None``, and records
-    every :class:`~repro.broadcast.authenticated.Accept` it performs
-    into :attr:`accepts`.
+    ``broadcast_superround`` when ``value`` is not ``None``, hands every
+    received ``AB_BUNDLE_TAG`` bundle to
+    :meth:`~repro.broadcast.authenticated.AuthenticatedBroadcast.receive`,
+    and records every :class:`~repro.broadcast.authenticated.Accept` it
+    performs into :attr:`accepts`.
     """
 
     def __init__(
@@ -70,17 +68,12 @@ class AuthenticatedBroadcastHost(Process):
     def deliver(self, round_no: int, inbox: Inbox) -> None:
         for m in inbox:
             payload = m.payload
-            if not (
+            if (
                 isinstance(payload, tuple)
                 and len(payload) == 3
                 and payload[0] == AB_BUNDLE_TAG
             ):
-                continue
-            inits, echoes = parse_broadcast_items(payload[1] + payload[2])
-            for mm, r in inits:
-                self.ab.note_init(m.sender_id, mm, r, round_no)
-            for mm, r, i in echoes:
-                self.ab.note_echo(m.sender_id, mm, r, i, round_no)
+                self.ab.receive(m.sender_id, payload, round_no)
         self.accepts.extend(self.ab.drain_accepts())
 
 

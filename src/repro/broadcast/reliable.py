@@ -43,10 +43,7 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.broadcast.authenticated import (
-    AuthenticatedBroadcast,
-    parse_broadcast_items,
-)
+from repro.broadcast.authenticated import AuthenticatedBroadcast
 from repro.core.errors import BoundViolation
 from repro.core.messages import Inbox
 from repro.sim.process import Process
@@ -59,9 +56,12 @@ class ReliableBroadcastProcess(Process):
 
     ``sender_ident`` names the broadcasting identifier; processes
     holding it with a non-``None`` ``proposal`` broadcast that value in
-    superround ``start_superround``.  Delivery is recorded via the
-    inherited decision plumbing (``decision`` = delivered value), so all
-    the runner/verdict machinery applies.
+    superround ``start_superround``.  Every received ``"rbc"`` bundle
+    goes to
+    :meth:`~repro.broadcast.authenticated.AuthenticatedBroadcast.receive`.
+    Delivery is recorded via the inherited decision plumbing
+    (``decision`` = delivered value), so all the runner/verdict
+    machinery applies.
     """
 
     def __init__(
@@ -105,17 +105,12 @@ class ReliableBroadcastProcess(Process):
     def deliver(self, round_no: int, inbox: Inbox) -> None:
         for m in inbox:
             payload = m.payload
-            if not (
+            if (
                 isinstance(payload, tuple)
                 and len(payload) == 3
                 and payload[0] == BUNDLE_TAG
             ):
-                continue
-            inits, echoes = parse_broadcast_items(payload[1] + payload[2])
-            for mm, r in inits:
-                self.ab.note_init(m.sender_id, mm, r, round_no)
-            for mm, r, i in echoes:
-                self.ab.note_echo(m.sender_id, mm, r, i, round_no)
+                self.ab.receive(m.sender_id, payload, round_no)
 
         superround = round_no // 2
         for accept in self.ab.drain_accepts():

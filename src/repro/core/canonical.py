@@ -82,6 +82,10 @@ def canonical_key(value: Any) -> str:
     return f"obj:{type(value).__name__}:{json.dumps(repr(value))}"
 
 
+#: ``object.__getstate__`` (Python 3.11+), or ``None`` before it existed.
+_OBJECT_GETSTATE = getattr(object, "__getstate__", None)
+
+
 def canonical_state_key(value: Any, _seen: frozenset[int] = frozenset()) -> str:
     """A :func:`canonical_key` that recurses into plain objects.
 
@@ -96,6 +100,9 @@ def canonical_state_key(value: Any, _seen: frozenset[int] = frozenset()) -> str:
     This variant therefore serialises objects structurally: instance
     attributes from ``__dict__`` and ``__slots__`` (including inherited
     slots), tagged with the type name and sorted by attribute name.
+    A class that overrides ``__getstate__`` with a dict-valued state
+    (the state copies and pickles carry) is digested by that state
+    instead, so attributes that only cache work stay out of the key.
     Mapping/set contents are canonically sorted exactly as in
     :func:`canonical_key`.  Cycles degrade to a ``cycle`` marker rather
     than recursing forever.
@@ -142,6 +149,11 @@ def canonical_state_key(value: Any, _seen: frozenset[int] = frozenset()) -> str:
             if hasattr(value, slot):
                 attrs[slot] = getattr(value, slot)
     attrs.update(getattr(value, "__dict__", {}))
+    getstate = getattr(type(value), "__getstate__", _OBJECT_GETSTATE)
+    if getstate is not _OBJECT_GETSTATE:
+        state = value.__getstate__()
+        if isinstance(state, dict):
+            attrs = dict(state)
     # Dunder entries (e.g. an enum member's __objclass__) point back at
     # class-level machinery whose digest would be address-dependent
     # noise; instance state never lives under dunder names.

@@ -40,10 +40,7 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.broadcast.authenticated import (
-    AuthenticatedBroadcast,
-    parse_broadcast_items,
-)
+from repro.broadcast.authenticated import AuthenticatedBroadcast
 from repro.core.errors import BoundViolation
 from repro.core.messages import Inbox
 from repro.core.params import SystemParams
@@ -81,7 +78,12 @@ def check_dls_bound(n: int, ell: int, t: int) -> None:
 
 
 class DLSHomonymProcess(Process):
-    """One process of the Figure 5 protocol."""
+    """One process of the Figure 5 protocol.
+
+    Each received bundle's init and echo items go to
+    :meth:`~repro.broadcast.authenticated.AuthenticatedBroadcast.receive`;
+    its proper set and direct items (lock, ack, decide) are handled here.
+    """
 
     def __init__(
         self,
@@ -221,18 +223,21 @@ class DLSHomonymProcess(Process):
         decides_this_round: dict[Hashable, set[int]] = {}
 
         for m in inbox:
-            bundle = self._parse_bundle(m.payload)
-            if bundle is None:
+            payload = m.payload
+            if not (
+                isinstance(payload, tuple)
+                and len(payload) == 5
+                and payload[0] == BUNDLE_TAG
+                and isinstance(payload[1], tuple)
+                and isinstance(payload[2], tuple)
+                and isinstance(payload[3], tuple)
+            ):
                 continue
-            inits_echoes, directs, proper_values = bundle
-            inits, echoes = inits_echoes
-            for mm, r in inits:
-                self.ab.note_init(m.sender_id, mm, r, round_no)
-            for mm, r, i in echoes:
-                self.ab.note_echo(m.sender_id, mm, r, i, round_no)
+            self.ab.receive(m.sender_id, payload, round_no)
+            proper_values = decode_proper(payload[4], self.problem)
             if proper_values is not None:
                 self.proper.note(m.sender_id, proper_values)
-            for item in directs:
+            for item in payload[3]:
                 self._route_direct(m.sender_id, item, phase, acks_this_round,
                                    decides_this_round)
 
@@ -260,20 +265,6 @@ class DLSHomonymProcess(Process):
             if len(decides_this_round[value]) >= self.t + 1:
                 self.record_decision(value, round_no)
                 break
-
-    def _parse_bundle(self, payload: Hashable):
-        if not (
-            isinstance(payload, tuple)
-            and len(payload) == 5
-            and payload[0] == BUNDLE_TAG
-            and isinstance(payload[1], tuple)
-            and isinstance(payload[2], tuple)
-            and isinstance(payload[3], tuple)
-        ):
-            return None
-        inits_echoes = parse_broadcast_items(payload[1] + payload[2])
-        proper_values = decode_proper(payload[4], self.problem)
-        return inits_echoes, payload[3], proper_values
 
     def _route_direct(
         self,
